@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"lingerlonger/internal/obs"
-	"lingerlonger/internal/sim"
 	"lingerlonger/internal/stats"
 	"lingerlonger/internal/trace"
 )
@@ -44,8 +44,8 @@ type ArrivalsResult struct {
 
 // RunArrivals simulates an open system: jobs of Cluster.JobCPU seconds
 // arrive by a Poisson process with the given rate for Duration seconds,
-// then the cluster drains. Arrival instants are produced by a
-// discrete-event engine layered over the trace-window stepper.
+// then the cluster drains. The Poisson process has exactly one pending
+// arrival at any time, so the window loop carries it as one variable.
 func RunArrivals(cfg ArrivalsConfig, corpus []*trace.Trace) (*ArrivalsResult, error) {
 	if cfg.Rate <= 0 {
 		return nil, fmt.Errorf("cluster: arrival rate must be positive, got %g", cfg.Rate)
@@ -59,46 +59,7 @@ func RunArrivals(cfg ArrivalsConfig, corpus []*trace.Trace) (*ArrivalsResult, er
 	if err != nil {
 		return nil, err
 	}
-
-	// The arrival process lives on a discrete-event engine; each event
-	// enqueues one job and schedules its successor until the window ends.
-	// The expected event count is Rate*Duration arrivals, so a budget a few
-	// multiples above that turns a rescheduling bug into a typed error
-	// instead of an infinite loop.
-	var engine sim.Engine
-	engine.SetEventBudget(uint64(cfg.Rate*cfg.Duration*4) + 10000)
-	engine.SetRecorder(ccfg.Rec)
-	arrivalRNG := stats.NewRNG(ccfg.Seed ^ 0x5ca1ab1e)
-	arrived := 0
-	var schedule func(at float64)
-	schedule = func(at float64) {
-		if at > cfg.Duration {
-			return
-		}
-		engine.Schedule(at, func(e *sim.Engine) {
-			arrived++
-			j := newJob(s.nextJobID, ccfg.JobCPU, ccfg.JobMB, e.Now())
-			s.nextJobID++
-			s.jobs = append(s.jobs, j)
-			s.queue = append(s.queue, j)
-			schedule(e.Now() + arrivalRNG.ExpFloat64()/cfg.Rate)
-		})
-	}
-	schedule(arrivalRNG.ExpFloat64() / cfg.Rate)
-
-	for s.now < ccfg.MaxTime {
-		// Fire the arrivals up to the current boundary (so a job is never
-		// placed before its arrival instant), then advance the cluster
-		// across the window.
-		engine.RunUntil(s.now)
-		if err := engine.Err(); err != nil {
-			return nil, fmt.Errorf("cluster: arrival process: %w", err)
-		}
-		s.stepOnce()
-		if engine.Pending() == 0 && s.completed >= len(s.jobs) {
-			break
-		}
-	}
+	arrived := s.runArrivals(cfg.Rate, cfg.Duration)
 
 	ccfg.Rec.Histogram(obs.SimRunSeconds).Observe(s.now)
 	res := &ArrivalsResult{
@@ -121,4 +82,45 @@ func RunArrivals(cfg ArrivalsConfig, corpus []*trace.Trace) (*ArrivalsResult, er
 	res.P95Response = stats.Quantile(responses, 0.95)
 	res.MeanQueued = stats.Mean(queued)
 	return res, nil
+}
+
+// runArrivals is the arrival loop: it steps the cluster window by window,
+// enqueuing every Poisson arrival (rate per second, until duration) that
+// falls at or before the current boundary, and stops once the process has
+// ended and every job has completed, or at MaxTime. It returns the number
+// of arrivals.
+func (s *simulation) runArrivals(rate, duration float64) int {
+	// Each arrival enqueues one job and draws its successor; a successor
+	// past the arrival window ends the process (next = +Inf).
+	cfg := s.cfg
+	arrivalRNG := stats.NewRNG(cfg.Seed ^ 0x5ca1ab1e)
+	draw := func(from float64) float64 {
+		if at := from + arrivalRNG.ExpFloat64()/rate; at <= duration {
+			return at
+		}
+		return math.Inf(1)
+	}
+	firedC := cfg.Rec.Counter(obs.SimEventsFired)
+	arrived := 0
+	next := draw(0)
+
+	for s.now < cfg.MaxTime {
+		// Fire the arrivals up to the current boundary (so a job is never
+		// placed before its arrival instant), then advance the cluster
+		// across the window.
+		for next <= s.now {
+			arrived++
+			firedC.Inc()
+			j := newJob(s.nextJobID, cfg.JobCPU, cfg.JobMB, next)
+			s.nextJobID++
+			s.jobs = append(s.jobs, j)
+			s.queue = append(s.queue, j)
+			next = draw(next)
+		}
+		s.stepOnce()
+		if math.IsInf(next, 1) && s.completed >= len(s.jobs) {
+			break
+		}
+	}
+	return arrived
 }

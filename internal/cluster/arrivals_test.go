@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lingerlonger/internal/core"
+	"lingerlonger/internal/obs"
 )
 
 func arrivalsConfig(p core.Policy, rate float64) ArrivalsConfig {
@@ -127,5 +128,39 @@ func TestRunArrivalsNoTimeTravel(t *testing.T) {
 	}
 	if res.MeanQueued < 0 {
 		t.Errorf("negative mean queue time %g", res.MeanQueued)
+	}
+}
+
+// TestRunArrivalsCountsEveryArrival pins the arrival loop's contract: the
+// sim.events.fired counter fires once per arrival, and no arrival lands
+// past the arrival window.
+func TestRunArrivalsCountsEveryArrival(t *testing.T) {
+	corpus := testCorpus(t, 4, 1, 26)
+	cfg := arrivalsConfig(core.LingerLonger, 0.08)
+	reg := obs.NewRegistry()
+	cfg.Cluster.Rec = obs.New(reg, nil)
+	res, err := RunArrivals(cfg, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter(obs.SimEventsFired).Value(); got != int64(res.Arrived) || got == 0 {
+		t.Errorf("sim.events.fired = %d, arrived %d", got, res.Arrived)
+	}
+
+	ccfg := cfg.Cluster
+	ccfg.NumJobs = 0 // as RunArrivals: arrivals drive the population
+	s, err := newSimulation(ccfg, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arrived := s.runArrivals(cfg.Rate, cfg.Duration); arrived != res.Arrived || len(s.jobs) != arrived {
+		t.Fatalf("arrival loop: %d arrivals, %d jobs, RunArrivals %d", arrived, len(s.jobs), res.Arrived)
+	}
+	prev := 0.0
+	for _, j := range s.jobs {
+		if j.enqueuedAt > cfg.Duration || j.enqueuedAt < prev {
+			t.Errorf("job %d arrived at %g (window %g, previous %g)", j.ID, j.enqueuedAt, cfg.Duration, prev)
+		}
+		prev = j.enqueuedAt
 	}
 }

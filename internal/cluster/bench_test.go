@@ -10,8 +10,8 @@ import (
 
 // BenchmarkWorkload1Run times one full Figure 7-style batch run — the
 // paper's Workload 1 (64 nodes, 128 x 600 CPU-s jobs, Linger-Longer) on a
-// 16-machine, 7-day corpus — the same configuration cmd/llbench's cluster
-// suite snapshots into the BENCH trajectory. Corpus generation sits
+// 16-machine, 7-day corpus. The end-to-end benchmark (perfbench/README.md)
+// runs this configuration inside its figures workload. Corpus generation sits
 // outside the timer, so the measurement is the simulation loop itself:
 // window stepping, placement scans and the fine-grain burst service.
 func BenchmarkWorkload1Run(b *testing.B) {

@@ -137,7 +137,7 @@ func runNodeTask(spec exp.PointSpec) ([]byte, error) {
 		return nil, fmt.Errorf("fabric: node duration %g must be positive", p.Duration)
 	}
 	n := node.New(
-		node.Config{ContextSwitch: p.ContextSwitch, BurstLookahead: 64},
+		node.Config{ContextSwitch: p.ContextSwitch},
 		workload.DefaultTable(),
 		workload.ConstantUtilization(p.Utilization),
 		stats.NewRNG(spec.Seed),

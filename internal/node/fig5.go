@@ -53,10 +53,7 @@ func Fig5(table *workload.Table, cfg Fig5Config) []Fig5Point {
 	var out []Fig5Point
 	for _, cs := range cfg.ContextSwitches {
 		for _, u := range cfg.Utilizations {
-			// Each point owns its split RNG and serves one uninterrupted
-			// foreign job, so burst lookahead is safe: the stream is
-			// consumed strictly linearly and the RNG is never reused.
-			n := New(Config{ContextSwitch: cs, Rec: cfg.Rec, BurstLookahead: 64}, table, workload.ConstantUtilization(u), rng.Split())
+			n := New(Config{ContextSwitch: cs, Rec: cfg.Rec}, table, workload.ConstantUtilization(u), rng.Split())
 			n.ServeForeign(math.Inf(1), cfg.Duration)
 			out = append(out, Fig5Point{
 				Utilization:   u,

@@ -37,15 +37,6 @@ type Config struct {
 	// (register save plus cache-state reload).
 	ContextSwitch float64
 
-	// BurstLookahead, when positive, makes the node's burst stream
-	// prefetch that many bursts per batch (workload.Windowed.SetLookahead)
-	// so the ServeForeign loop amortizes sampling overhead. The burst
-	// values are identical to the unbatched stream, but a lookahead node
-	// must be consumed strictly linearly: Advance past the current burst
-	// panics, because the stream cannot seek. Only drivers that never
-	// detach the foreign job (the Figure 5 sweep, benchmarks) enable it.
-	BurstLookahead int
-
 	// Rec, when non-nil, receives the node.preemptions counter. Metrics
 	// are a side channel (never read back), so attaching a recorder
 	// cannot change results.
@@ -56,15 +47,7 @@ type Config struct {
 func DefaultConfig() Config { return Config{ContextSwitch: DefaultContextSwitch} }
 
 // Node is a single simulated workstation. Create one with New; methods are
-// not safe for concurrent use.
-//
-// This is the throughput implementation of the model: ServeForeign keeps
-// its accounting in locals for the duration of a call and, when the burst
-// stream has lookahead enabled, walks whole prefetched batches without a
-// per-burst stream call. RefNode is the retained per-burst reference
-// implementation; the two are bit-identical on every metric for every
-// call interleaving (differential_test.go), so all figures are unchanged
-// by the fast path. DESIGN.md §14 documents the equivalence argument.
+// not safe for concurrent use. DESIGN.md §14 documents the burst loop.
 type Node struct {
 	cfg    Config
 	stream *workload.Windowed
@@ -91,13 +74,9 @@ func New(cfg Config, table *workload.Table, src workload.UtilizationSource, rng 
 	if cfg.ContextSwitch < 0 {
 		panic(fmt.Sprintf("node: negative context-switch time %g", cfg.ContextSwitch))
 	}
-	stream := workload.NewWindowed(table, src, 0, rng)
-	if cfg.BurstLookahead > 0 {
-		stream.SetLookahead(cfg.BurstLookahead)
-	}
 	return &Node{
 		cfg:      cfg,
-		stream:   stream,
+		stream:   workload.NewWindowed(table, src, 0, rng),
 		preemptC: cfg.Rec.Counter(obs.NodePreemptions),
 	}
 }
@@ -181,9 +160,7 @@ func burstEps(end float64) float64 {
 }
 
 // burstDone reports whether a burst ending at end is fully consumed at
-// clock position now. Both Node and RefNode route their burst-end
-// comparison through here so the fix and the differential suite cover the
-// same arithmetic.
+// clock position now.
 func burstDone(now, end float64) bool {
 	return now >= end-burstEps(end)
 }
@@ -194,22 +171,10 @@ func burstDone(now, end float64) bool {
 // the completion instant when the demand is met early.
 //
 // This is the hot path of every figure (a full experiments run crosses
-// ~9.5 million preemptions here, against ~1k engine events). Relative to
-// the RefNode reference loop it is coarsened two ways, neither of which
-// changes a single draw or a single float operation on the accounted
-// values:
-//
-//   - all accumulators live in locals for the duration of the call and are
-//     written back once, including the preemption counter (one Add instead
-//     of one Inc per preemption);
-//   - with stream lookahead enabled, whole prefetched batches are walked
-//     by slice index (Windowed.Buffered/Consume) instead of one stream
-//     call per burst, and each fresh in-batch burst runs a straight-line
-//     enter/pay/steal sequence instead of re-entering the branch cascade.
-//
-// Partially consumed bursts (deadline hit, demand met, or a steal that
-// lands short of the burst end by more than burstEps) drop back to the
-// per-segment path, which is the reference loop body verbatim.
+// ~9.5 million preemptions here). The loop pulls one burst at a time and
+// keeps every accumulator in a local for the duration of the call, writing
+// them back once at the end (one counter Add instead of one Inc per
+// preemption).
 func (n *Node) ServeForeign(demand, until float64) float64 {
 	if demand < 0 {
 		panic(fmt.Sprintf("node: negative foreign demand %g", demand))
@@ -231,82 +196,17 @@ func (n *Node) ServeForeign(demand, until float64) float64 {
 		delivered  = 0.0
 	)
 	cs := n.cfg.ContextSwitch
-	stream := n.stream
 
 	for now < until && delivered < demand {
-		if !haveCur || burstDone(now, cur.Start+cur.Duration) {
-			if batch := stream.Buffered(); batch != nil {
-				// Batched fast path: every burst here is fresh, so the
-				// enter-burst accounting and the segment service fuse into
-				// one straight-line pass per burst with no stream call. Like
-				// the reference, a fresh burst is always served exactly once,
-				// even when its duration is below the burst-end tolerance.
-				k := 0
-				for k < len(batch) && now < until && delivered < demand {
-					b := batch[k]
-					k++
-					cur = b
-					switchPaid = false
-					end := b.Start + b.Duration
-					if b.Run {
-						demandSum += b.Duration
-						if ranIdle {
-							delaySum += cs
-							preempts++
-						}
-						ranIdle = false
-						if end > until {
-							end = until
-						}
-						now = end
-						continue
-					}
-					segEnd := end
-					if segEnd > until {
-						segEnd = until
-					}
-					payEnd := now + cs
-					if payEnd > segEnd {
-						idleSeen += segEnd - now
-						now = segEnd
-						continue
-					}
-					idleSeen += payEnd - now
-					now = payEnd
-					switchPaid = true
-					room := segEnd - now
-					if room <= 0 {
-						continue
-					}
-					use := room
-					if rem := demand - delivered; use > rem {
-						use = rem
-					}
-					idleSeen += use
-					stolen += use
-					delivered += use
-					now += use
-					ranIdle = true
-					if !burstDone(now, b.Start+b.Duration) {
-						// The steal landed short of the burst end by more
-						// than the tolerance; hand the sliver to the resume
-						// path below so the arithmetic stays identical to
-						// the reference.
-						break
-					}
-				}
-				stream.Consume(k)
-				haveCur = true
-				continue
-			}
-			// Per-burst pull (no lookahead): fetch and account the entry,
-			// then fall through and serve the segment in this iteration —
-			// a fresh burst is served exactly once even if it is already
-			// within the burst-end tolerance (the reference does the same,
-			// since it only tests burstDone to decide on fetching).
-			cur = stream.Next()
+		if !haveCur || burstDone(now, cur.End()) {
+			// A fresh burst is served exactly once, even when its duration
+			// is already below the burst-end tolerance: burstDone only
+			// decides whether to fetch.
+			cur = n.stream.Next()
 			haveCur = true
 			switchPaid = false
+			// Entering a run burst: account the owner's demand and the
+			// preemption delay if the foreign job held the CPU.
 			if cur.Run {
 				demandSum += cur.Duration
 				if ranIdle {
@@ -316,12 +216,7 @@ func (n *Node) ServeForeign(demand, until float64) float64 {
 				ranIdle = false
 			}
 		}
-
-		// Serve one segment of the current burst: the reference loop body.
-		// Reached for fresh per-burst pulls, partially consumed bursts
-		// (first burst of a call, after an Advance) and sub-eps steal
-		// shortfalls from the batched path.
-		segEnd := cur.Start + cur.Duration
+		segEnd := cur.End()
 		if segEnd > until {
 			segEnd = until
 		}
@@ -329,6 +224,10 @@ func (n *Node) ServeForeign(demand, until float64) float64 {
 			now = segEnd
 			continue
 		}
+		// Idle burst: the foreign job first pays its switch-in (anchored at
+		// the current position — the job may resume mid-burst after an
+		// Advance), then steals cycles until the burst ends, the deadline
+		// hits, or the demand completes.
 		if !switchPaid {
 			payEnd := now + cs
 			if payEnd > segEnd {

@@ -20,7 +20,7 @@ type Def struct {
 // Metric base names. Labeled variants (e.g. "cluster.migrations{policy=LL}")
 // share the base name's catalog entry.
 const (
-	// Discrete-event engine (internal/sim).
+	// Simulation runs (internal/cluster).
 	SimEventsFired = "sim.events.fired" // counter
 	SimRunSeconds  = "sim.run_seconds"  // histogram
 
@@ -111,7 +111,7 @@ const (
 // those two checks make "every metric emitted by the code is documented"
 // a build-time property rather than a review convention.
 var Catalog = []Def{
-	{SimEventsFired, KindCounter, "events dispatched by the discrete-event engine (Engine.Step firings)"},
+	{SimEventsFired, KindCounter, "arrivals fired by the open-system arrival loop"},
 	{SimRunSeconds, KindHistogram, "final simulated time of each simulation run, seconds of sim time"},
 	{NodePreemptions, KindCounter, "foreign-job preemptions by a returning local burst (context-switch charges, §3)"},
 	{ClusterCompletions, KindCounter, "foreign jobs completed, per policy"},

@@ -10,7 +10,7 @@ import (
 func testKeys(n int) []string {
 	keys := make([]string, n)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("cluster:%064x", i*2654435761)
+		keys[i] = fmt.Sprintf("cluster:%064x", uint64(i)*2654435761)
 	}
 	return keys
 }

@@ -278,7 +278,7 @@ func runNodePoint(p PointParams, seed int64) ([]byte, error) {
 		return nil, fmt.Errorf("scenario: node duration %g must be positive", c.Duration)
 	}
 	n := node.New(
-		node.Config{ContextSwitch: c.ContextSwitch, BurstLookahead: 64},
+		node.Config{ContextSwitch: c.ContextSwitch},
 		workload.DefaultTable(),
 		workload.ConstantUtilization(c.Utilization),
 		stats.NewRNG(seed),

@@ -7,28 +7,15 @@ import (
 )
 
 // The burst stream is the inner loop of every node simulation, so its
-// sampling overhead multiplies into each figure. These benchmarks compare
-// the one-at-a-time path against the lookahead (batched) path the Figure 5
-// sweep uses; the streams produce identical values (see
-// TestLookaheadStreamIdentical in variants_test.go-adjacent suites), so
-// the delta is pure overhead removed.
-
-func benchStream(b *testing.B, lookahead int) {
+// sampling overhead multiplies into each figure.
+func BenchmarkWindowedNext(b *testing.B) {
 	w := NewWindowed(DefaultTable(), ConstantUtilization(0.5), 0, stats.NewRNG(42))
-	if lookahead > 0 {
-		w.SetLookahead(lookahead)
-	}
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		sink += w.Next().Duration
 	}
 	_ = sink
-}
-
-func BenchmarkWindowedNext(b *testing.B) {
-	b.Run("unbatched", func(b *testing.B) { benchStream(b, 0) })
-	b.Run("lookahead-64", func(b *testing.B) { benchStream(b, 64) })
 }
 
 // BenchmarkGeneratorFill compares per-draw sampling against the batched
@@ -48,46 +35,4 @@ func BenchmarkGeneratorFill(b *testing.B) {
 			g.FillRuns(buf)
 		}
 	})
-}
-
-// TestLookaheadStreamIdentical pins the lookahead contract: for any batch
-// size, the burst sequence is byte-for-byte the unbatched one.
-func TestLookaheadStreamIdentical(t *testing.T) {
-	for _, n := range []int{1, 3, 64, 1000} {
-		plain := NewWindowed(DefaultTable(), ConstantUtilization(0.37), 0, stats.NewRNG(99))
-		ahead := NewWindowed(DefaultTable(), ConstantUtilization(0.37), 0, stats.NewRNG(99))
-		ahead.SetLookahead(n)
-		for i := 0; i < 20000; i++ {
-			a, b := plain.Next(), ahead.Next()
-			if a != b {
-				t.Fatalf("lookahead %d diverges at burst %d: %+v vs %+v", n, i, a, b)
-			}
-			if got, want := ahead.Now(), plain.Now(); got != want {
-				t.Fatalf("lookahead %d Now() = %g, unbatched %g at burst %d", n, got, want, i)
-			}
-		}
-	}
-}
-
-// TestLookaheadGuards pins the misuse panics: seeking a lookahead stream,
-// or enabling lookahead mid-stream, must fail loudly rather than silently
-// desynchronize the RNG.
-func TestLookaheadGuards(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	w := NewWindowed(DefaultTable(), ConstantUtilization(0.5), 0, stats.NewRNG(1))
-	w.SetLookahead(8)
-	w.Next()
-	mustPanic("SeekTo on lookahead stream", func() { w.SeekTo(100) })
-
-	w2 := NewWindowed(DefaultTable(), ConstantUtilization(0.5), 0, stats.NewRNG(1))
-	w2.Next()
-	mustPanic("SetLookahead mid-stream", func() { w2.SetLookahead(8) })
 }

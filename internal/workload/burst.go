@@ -149,13 +149,6 @@ type Windowed struct {
 	windowEnd float64
 	gen       Generator // by value: replaced every window roll
 	runNext   bool
-
-	// Lookahead state (SetLookahead). The buffer holds bursts already
-	// drawn but not yet handed out; consumed trails now by up to a
-	// buffer's worth of bursts.
-	buf      []Burst
-	bufPos   int
-	consumed float64
 }
 
 // DefaultWindow is the coarse-grain trace granularity, seconds.
@@ -178,28 +171,6 @@ func NewWindowed(table *Table, source UtilizationSource, windowSize float64, rng
 	return w
 }
 
-// SetLookahead makes Next draw bursts in batches of n, amortizing the
-// per-burst sampling overhead for consumers that walk the stream strictly
-// linearly (the Figure 5 single-node sweep, benchmarks). The burst values
-// are identical to the unbatched stream — prefetching runs the same
-// deterministic draw sequence, just earlier — but the stream's RNG sits
-// up to n bursts ahead of the consumption point at any instant, so a
-// lookahead stream cannot be rewound: SeekTo panics. Callers that share
-// the RNG with other draws, or that seek (the cluster simulator), must
-// not enable lookahead. n <= 0 disables batching; enabling lookahead
-// after the first Next also panics, because the handed-out and drawn
-// positions have already diverged.
-func (w *Windowed) SetLookahead(n int) {
-	if w.now != 0 || len(w.buf) != 0 {
-		panic("workload: SetLookahead after the stream started")
-	}
-	if n <= 0 {
-		w.buf = nil
-		return
-	}
-	w.buf = make([]Burst, 0, n)
-}
-
 // roll opens the window containing w.now.
 func (w *Windowed) roll() {
 	idx := int(w.now / w.windowSize)
@@ -209,24 +180,14 @@ func (w *Windowed) roll() {
 }
 
 // Now returns the stream's current virtual time: the end of the last
-// burst returned by Next. (With lookahead enabled the internal draw
-// cursor runs ahead of this; Now always reports the consumption point.)
-func (w *Windowed) Now() float64 {
-	if w.buf != nil {
-		return w.consumed
-	}
-	return w.now
-}
+// burst returned by Next.
+func (w *Windowed) Now() float64 { return w.now }
 
 // SeekTo fast-forwards the stream to time t without generating the
 // intervening bursts; the cluster simulator uses it when a node has no
 // foreign job and its fine-grain activity is irrelevant. Seeking backwards
-// panics, as does seeking a lookahead stream (whose RNG has already drawn
-// past the consumption point — see SetLookahead).
+// panics.
 func (w *Windowed) SeekTo(t float64) {
-	if w.buf != nil {
-		panic("workload: SeekTo on a lookahead stream")
-	}
 	if t < w.now {
 		panic("workload: SeekTo backwards")
 	}
@@ -235,73 +196,13 @@ func (w *Windowed) SeekTo(t float64) {
 	w.roll()
 }
 
-// Utilization returns the level of the current window. With lookahead
-// enabled this is the prefetcher's window, which may be ahead of the
-// burst most recently returned by Next.
+// Utilization returns the level of the current window.
 func (w *Windowed) Utilization() float64 { return w.gen.params.Utilization }
 
 // Next returns the next burst in the stream. Duration is always positive.
 // Pure-idle and pure-busy windows yield a single burst spanning the rest of
 // the window.
 func (w *Windowed) Next() Burst {
-	if w.buf == nil {
-		return w.drawNext()
-	}
-	if w.bufPos == len(w.buf) {
-		w.refill()
-	}
-	b := w.buf[w.bufPos]
-	w.bufPos++
-	w.consumed = b.End()
-	return b
-}
-
-// refill redraws a full lookahead batch. Only called with an empty buffer.
-func (w *Windowed) refill() {
-	w.buf = w.buf[:0]
-	w.bufPos = 0
-	for len(w.buf) < cap(w.buf) {
-		w.buf = append(w.buf, w.drawNext())
-	}
-}
-
-// Buffered returns the prefetched bursts not yet handed out, refilling the
-// batch when it is empty, or nil when lookahead is disabled. The slice
-// aliases the internal buffer and is valid until the next Next, Buffered
-// or Consume call; callers must not modify it. Together with Consume it is
-// the zero-call batch form of Next: the node hot loop walks the slice
-// directly instead of paying one call and one buffer-position update per
-// burst.
-func (w *Windowed) Buffered() []Burst {
-	if w.buf == nil {
-		return nil
-	}
-	if w.bufPos == len(w.buf) {
-		w.refill()
-	}
-	return w.buf[w.bufPos:]
-}
-
-// Consume marks the first k bursts of the latest Buffered slice as handed
-// out, exactly as if they had been returned by k Next calls. It panics if
-// k overruns the buffer.
-func (w *Windowed) Consume(k int) {
-	if k == 0 {
-		return
-	}
-	if k < 0 || w.bufPos+k > len(w.buf) {
-		panic("workload: Consume past the buffered batch")
-	}
-	w.bufPos += k
-	w.consumed = w.buf[w.bufPos-1].End()
-}
-
-// drawNext generates one burst at the draw cursor. This is the exact
-// pre-lookahead Next: the boundary snap, the pure-level shortcuts, the
-// alternation parity and the zero-draw skip are all unchanged, so the
-// draw sequence — and with it every figure — is identical whether bursts
-// are pulled one at a time or prefetched.
-func (w *Windowed) drawNext() Burst {
 	for {
 		if w.windowEnd-w.now <= 1e-9 {
 			// Snap forward onto an exact boundary, never backwards: a

@@ -159,3 +159,33 @@ func TestFig3RowsMatchTable(t *testing.T) {
 		}
 	}
 }
+
+// TestFillMatchesSequentialDraws: the batched FillRuns/FillIdles forms
+// must consume the RNG exactly like the equivalent sequence of NextRun /
+// NextIdle calls, for mixed and degenerate (pure idle / pure busy)
+// levels.
+func TestFillMatchesSequentialDraws(t *testing.T) {
+	table := DefaultTable()
+	for _, u := range []float64{0, 0.4, 1} {
+		seq := NewGenerator(table, u, stats.NewRNG(11))
+		bat := NewGenerator(table, u, stats.NewRNG(11))
+		var want [64]float64
+		for i := range want {
+			want[i] = seq.NextRun()
+		}
+		var got [64]float64
+		bat.FillRuns(got[:])
+		if got != want {
+			t.Fatalf("u=%g: FillRuns diverged from sequential NextRun", u)
+		}
+		// The two generators' RNGs are now aligned again; repeat for idles
+		// to check the batch leaves the stream in the same state.
+		for i := range want {
+			want[i] = seq.NextIdle()
+		}
+		bat.FillIdles(got[:])
+		if got != want {
+			t.Fatalf("u=%g: FillIdles diverged from sequential NextIdle", u)
+		}
+	}
+}
