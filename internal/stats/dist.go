@@ -100,7 +100,7 @@ func (h HyperExp2) Mean() float64 {
 func (h HyperExp2) Var() float64 {
 	m := h.Mean()
 	second := 2 * (h.P1/(h.Rate1*h.Rate1) + (1-h.P1)/(h.Rate2*h.Rate2))
-	return second - m*m
+	return second - float64(m*m)
 }
 
 // CDF returns P(X <= x).
@@ -108,7 +108,7 @@ func (h HyperExp2) CDF(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
-	return h.P1*(1-math.Exp(-h.Rate1*x)) + (1-h.P1)*(1-math.Exp(-h.Rate2*x))
+	return float64(h.P1*(1-math.Exp(-h.Rate1*x))) + float64((1-h.P1)*(1-math.Exp(-h.Rate2*x)))
 }
 
 // SquaredCV returns the squared coefficient of variation Var/Mean^2.
@@ -189,20 +189,20 @@ func NewLognormalMean(mean, sigma float64) Lognormal {
 	if mean <= 0 {
 		panic(fmt.Sprintf("stats: lognormal mean must be positive, got %g", mean))
 	}
-	return Lognormal{Mu: math.Log(mean) - sigma*sigma/2, Sigma: sigma}
+	return Lognormal{Mu: math.Log(mean) - float64(sigma*sigma/2), Sigma: sigma}
 }
 
 // Sample draws a log-normal variate.
 func (l Lognormal) Sample(rng *RNG) float64 {
-	return math.Exp(l.Mu + l.Sigma*rng.NormFloat64())
+	return math.Exp(l.Mu + float64(l.Sigma*rng.NormFloat64()))
 }
 
 // Mean returns exp(mu + sigma^2/2).
-func (l Lognormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
+func (l Lognormal) Mean() float64 { return math.Exp(l.Mu + float64(l.Sigma*l.Sigma/2)) }
 
 // Var returns (exp(sigma^2) - 1) * exp(2*mu + sigma^2).
 func (l Lognormal) Var() float64 {
-	s2 := l.Sigma * l.Sigma
+	s2 := float64(l.Sigma * l.Sigma)
 	return (math.Exp(s2) - 1) * math.Exp(2*l.Mu+s2)
 }
 
@@ -241,7 +241,7 @@ type Uniform struct {
 }
 
 // Sample draws a uniform variate on [Lo, Hi).
-func (u Uniform) Sample(rng *RNG) float64 { return u.Lo + rng.Float64()*(u.Hi-u.Lo) }
+func (u Uniform) Sample(rng *RNG) float64 { return u.Lo + float64(rng.Float64()*(u.Hi-u.Lo)) }
 
 // Mean returns the midpoint.
 func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }

@@ -33,7 +33,7 @@ func FitHyperExp2(mean, variance float64) (HyperExp2, error) {
 	if c2 < 1 {
 		c2 = 1
 	}
-	p1 := (1 + math.Sqrt((c2-1)/(c2+1))) / 2
+	p1 := float64((1 + math.Sqrt((c2-1)/(c2+1))) / 2)
 	return HyperExp2{
 		P1:    p1,
 		Rate1: 2 * p1 / mean,

@@ -58,7 +58,7 @@ func (h *Histogram) Total() int { return h.total }
 
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
-	return h.lo + (float64(i)+0.5)*h.width
+	return h.lo + float64((float64(i)+0.5)*h.width)
 }
 
 // Fraction returns the fraction of samples in bin i, or 0 if the histogram
@@ -91,7 +91,7 @@ func (h *Histogram) String() string {
 		if c == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "[%8.4f) %6d %5.1f%%\n", h.lo+float64(i)*h.width, c, 100*h.Fraction(i))
+		fmt.Fprintf(&b, "[%8.4f) %6d %5.1f%%\n", h.lo+float64(float64(i)*h.width), c, 100*h.Fraction(i))
 	}
 	return b.String()
 }

@@ -30,7 +30,7 @@ func (w *Welford) Add(x float64) {
 	}
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
+	w.m2 += float64(delta * (x - w.mean))
 }
 
 // N returns the number of samples added.
@@ -138,14 +138,14 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.

@@ -222,7 +222,7 @@ func Generate(cfg Config, rng *stats.RNG) (*Trace, error) {
 		}
 
 		// Working set dynamics.
-		baseWS += (rng.Float64()*2 - 1) * cfg.WSDriftMB
+		baseWS += float64((float64(rng.Float64()*2) - 1) * cfg.WSDriftMB)
 		lo, hi := cfg.BaseWSAbsent[0], cfg.BaseWSPresent[1]
 		if present {
 			lo = cfg.BaseWSPresent[0]
@@ -313,7 +313,7 @@ func nextEpisode(rng *stats.RNG, cfg *Config, s ownerState) ownerState {
 }
 
 func uniform(rng *stats.RNG, r [2]float64) float64 {
-	return r[0] + rng.Float64()*(r[1]-r[0])
+	return r[0] + float64(rng.Float64()*(r[1]-r[0]))
 }
 
 func clamp(x, lo, hi float64) float64 {

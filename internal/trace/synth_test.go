@@ -189,3 +189,15 @@ func TestPresetsValidate(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkGenerateCorpus synthesizes one tournament cell's corpus: the
+// scenario defaults of 16 machines by 7 days.
+func BenchmarkGenerateCorpus(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Days = 7
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateCorpus(cfg, 16, stats.NewRNG(int64(i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

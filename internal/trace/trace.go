@@ -11,6 +11,10 @@
 // samples below 10% CPU, and the Figure 4 free-memory CDF (on 64 MB
 // machines, at least 14 MB free 90% of the time and at least 10 MB free
 // 95% of the time). See DESIGN.md §2 for the substitution argument.
+//
+// As in package stats, a float64(...) around a product that feeds an
+// addition is explicit rounding, so FMA architectures synthesize the same
+// bytes as amd64.
 package trace
 
 import (
@@ -98,7 +102,7 @@ func (t *Trace) IdleMask() []bool {
 	mask := make([]bool, len(t.Samples))
 	lastActive := -RecruitmentDelay // pretend quiet before the trace
 	for i, s := range t.Samples {
-		now := float64(i) * t.Interval
+		now := float64(float64(i) * t.Interval)
 		if s.Keyboard || s.CPU >= RecruitmentCPU {
 			lastActive = now
 		}
