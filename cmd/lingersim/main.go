@@ -32,7 +32,6 @@ import (
 	"lingerlonger/internal/cli"
 	"lingerlonger/internal/cluster"
 	"lingerlonger/internal/core"
-	"lingerlonger/internal/obs"
 	"lingerlonger/internal/scenario"
 	"lingerlonger/internal/stats"
 	"lingerlonger/internal/trace"
@@ -145,24 +144,16 @@ func runScenario(path string, seed int64, quick bool, workers int, o *cli.Obs) e
 	if err != nil {
 		return err
 	}
-	spec, err := scenario.Decode(data)
-	if err != nil {
-		return cli.Usagef("%v", err)
-	}
-	if spec.Kind != scenario.KindCluster {
-		return cli.Usagef("%s: kind %q (lingersim runs cluster scenarios; use nodesim for node ones)", path, spec.Kind)
-	}
-	seedSet := false
-	flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
-	if seedSet {
-		spec.Seed = seed
-	}
 	rec := o.Recorder()
-	id, specs, err := scenario.Expand(spec, quick)
+	spec, id, specs, err := cli.LoadScenario(data, seed, quick, func(s *scenario.Spec) error {
+		if s.Kind != scenario.KindCluster {
+			return cli.Usagef("%s: kind %q (lingersim runs cluster scenarios; use nodesim for node ones)", path, s.Kind)
+		}
+		return nil
+	}, rec)
 	if err != nil {
-		return cli.Usagef("%v", err)
+		return err
 	}
-	rec.Counter(obs.ScenarioPointsExpanded).Add(int64(len(specs)))
 	results, err := scenario.Run(workers, specs, rec)
 	if err != nil {
 		return err

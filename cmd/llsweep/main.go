@@ -1,17 +1,17 @@
-// Command llsweep runs an experiment sweep — serially, on a local worker
+// Command llsweep runs a scenario sweep — serially, on a local worker
 // pool, or distributed across a cluster of lingerd agent processes — and
 // emits a deterministic JSON report.
 //
 //	llsweep -sweep node -quick -workers 1
-//	    Serial reference run: the byte-exact baseline every other
-//	    execution mode must reproduce.
+//	    Serial reference run of a committed spec: -sweep NAME runs
+//	    scenarios/NAME.json, embedded in the binary. It is the byte-exact
+//	    baseline every other execution mode must reproduce.
 //
 //	llsweep -scenario scenarios/fig8.json -workers 4
-//	    Scenario mode: expand a declarative scenario spec (internal/
-//	    scenario) instead of a named sweep. The spec's name becomes the
+//	    Scenario mode: expand a declarative scenario spec file (internal/
+//	    scenario) instead of a committed one. The spec's name becomes the
 //	    sweep ID and its seed the report seed unless -seed is given
-//	    explicitly; the committed specs under scenarios/ reproduce the
-//	    named sweeps byte for byte.
+//	    explicitly.
 //
 //	llsweep -sweep node -quick -agents 127.0.0.1:7101,127.0.0.1:7102
 //	    Distributed run: partition the same points across agent processes
@@ -22,13 +22,14 @@
 //	llsweep ... -checkpoint DIR
 //	    Persist completed points and resume an interrupted run; serial and
 //	    fabric runs share the same snapshot format, so a run can switch
-//	    modes between attempts.
+//	    modes between attempts. A checkpoint belongs to one (spec digest,
+//	    seed, quick): resuming it with any other is refused.
 //
 //	llsweep ... -fault drop=0.05,seed=42
 //	    Apply the deterministic fault injector to every fabric call (the
 //	    lingerd -fault spec syntax); the report bytes must not change.
 //
-// The report on stdout is a pure function of (sweep, seed, quick): agent
+// The report on stdout is a pure function of (spec, seed, quick): agent
 // count, worker count, faults, retries, and resumption never change a
 // byte. Execution details go to stderr.
 package main
@@ -43,9 +44,8 @@ import (
 	"lingerlonger/internal/cli"
 	"lingerlonger/internal/exp"
 	"lingerlonger/internal/fabric"
-	"lingerlonger/internal/obs"
 	"lingerlonger/internal/runtime"
-	"lingerlonger/internal/scenario"
+	"lingerlonger/scenarios"
 )
 
 func main() {
@@ -57,8 +57,8 @@ func realMain() (err error) {
 	o.RegisterFlags()
 	link := cli.LinkFlags(flag.CommandLine)
 	var (
-		sweepName = flag.String("sweep", "node", fmt.Sprintf("sweep to run, one of %v", fabric.SweepNames()))
-		scenPath  = flag.String("scenario", "", "run a scenario spec `file` instead of a named sweep")
+		sweepName = flag.String("sweep", "node", fmt.Sprintf("committed spec to run, one of %v", scenarios.Names()))
+		scenPath  = flag.String("scenario", "", "run a scenario spec `file` instead of a committed one")
 		seed      = flag.Int64("seed", 1, "master seed; per-point seeds derive from it")
 		quick     = flag.Bool("quick", false, "smaller sweep for smoke runs")
 		workers   = flag.Int("workers", 1, "local mode: worker pool size (ignored with -agents)")
@@ -81,48 +81,31 @@ func realMain() (err error) {
 	defer o.Finish(&err)
 	rec := o.Recorder()
 
-	var (
-		id    string
-		specs []exp.PointSpec
-	)
+	var data []byte
 	if *scenPath != "" {
-		data, err := os.ReadFile(*scenPath)
-		if err != nil {
+		if data, err = os.ReadFile(*scenPath); err != nil {
 			return err
 		}
-		spec, err := scenario.Decode(data)
-		if err != nil {
-			return cli.Usagef("%v", err)
-		}
-		// An explicit -seed overrides the spec's; otherwise the spec's
-		// seed is the report seed, so the report stays a pure function of
-		// the file content.
-		seedSet := false
-		flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
-		if seedSet {
-			spec.Seed = *seed
-		} else {
-			*seed = spec.Seed
-		}
-		id, specs, err = scenario.Expand(spec, *quick)
-		if err != nil {
-			return cli.Usagef("%v", err)
-		}
-		rec.Counter(obs.ScenarioPointsExpanded).Add(int64(len(specs)))
-	} else {
-		var err error
-		id, specs, err = fabric.BuildSweep(*sweepName, *seed, *quick)
-		if err != nil {
-			return cli.Usagef("%v", err)
-		}
+	} else if data, err = scenarios.Load(*sweepName); err != nil {
+		return cli.Usagef("%v", err)
+	}
+	spec, id, specs, err := cli.LoadScenario(data, *seed, *quick, nil, rec)
+	if err != nil {
+		return err
 	}
 
 	var store exp.Store
 	if *ckptDir != "" {
+		// The spec digest makes the checkpoint refuse a resume under an
+		// edited spec that kept its name.
+		digest, err := spec.Digest()
+		if err != nil {
+			return err
+		}
 		run, err := checkpoint.OpenOrCreate(*ckptDir, checkpoint.Meta{
 			Schema: checkpoint.SchemaVersion,
-			Seed:   *seed,
-			Config: fmt.Sprintf("quick=%t", *quick),
+			Seed:   spec.Seed,
+			Config: fmt.Sprintf("quick=%t spec=%s", *quick, digest),
 			Sweep:  id,
 		})
 		if err != nil {
@@ -183,7 +166,7 @@ func realMain() (err error) {
 			stats.Suspected, stats.Dead, stats.Resurrected, stats.Transport.Retries)
 	}
 
-	report, err := fabric.EncodeReport(id, *seed, *quick, results)
+	report, err := fabric.EncodeReport(id, spec.Seed, *quick, results)
 	if err != nil {
 		return err
 	}

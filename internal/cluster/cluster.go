@@ -686,7 +686,7 @@ func (s *simulation) serveJobFractional(j *Job, windowEnd float64) {
 	if contention > 0.5 {
 		contention = 0.5
 	}
-	s.fsDelay += contention * span
+	s.fsDelay += float64(contention * span) // rounded: no FMA (DESIGN.md §8)
 	if j.remaining <= 1e-9 {
 		s.completeJob(j, nd, from+span)
 	}

@@ -7,16 +7,20 @@ import (
 	"testing"
 
 	"lingerlonger/internal/scenario"
+	"lingerlonger/scenarios"
 )
 
-// The committed specs under scenarios/ are the declarative form of the
-// builtin figure sweeps. These golden tests pin the contract that makes
-// them interchangeable: expanding a spec and running its points through
-// the fabric produces a report byte-identical to the legacy named sweep.
+// The committed specs under scenarios/ are the Figure 5 and Figure 8
+// sweeps that llsweep -sweep NAME runs. These golden tests pin their
+// reports: expanding a committed spec and running its points through the
+// fabric's local path must reproduce the report recorded under testdata/,
+// byte for byte. To re-record one after a deliberate model change:
+//
+//	go run ./cmd/llsweep -sweep node -quick -out internal/fabric/testdata/node-quick.json
 
-func goldenScenario(t *testing.T, file, sweep string) {
+func goldenScenario(t *testing.T, name string, quick bool) {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("..", "..", "scenarios", file))
+	data, err := scenarios.Load(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,51 +28,42 @@ func goldenScenario(t *testing.T, file, sweep string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	legacyID, legacySpecs, err := BuildSweep(sweep, spec.Seed, true)
+	id, specs, err := scenario.Expand(spec, quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyResults, _, err := RunLocal(BuiltinTasks(), nil, 2, legacyID, legacySpecs, nil)
+	results, _, err := RunLocal(BuiltinTasks(), nil, 2, id, specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := EncodeReport(legacyID, spec.Seed, true, legacyResults)
+	got, err := EncodeReport(id, spec.Seed, quick, results)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	scenID, scenSpecs, err := scenario.Expand(spec, true)
+	file := name + "-full.json"
+	if quick {
+		file = name + "-quick.json"
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scenID != legacyID {
-		t.Fatalf("scenario %s expands to sweep id %q, legacy id is %q", file, scenID, legacyID)
-	}
-	if len(scenSpecs) != len(legacySpecs) {
-		t.Fatalf("scenario %s expands to %d points, legacy sweep has %d", file, len(scenSpecs), len(legacySpecs))
-	}
-	scenResults, _, err := RunLocal(BuiltinTasks(), nil, 2, scenID, scenSpecs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scen, err := EncodeReport(scenID, spec.Seed, true, scenResults)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !bytes.Equal(legacy, scen) {
-		t.Errorf("scenario %s is not byte-identical to sweep %q:\n--- legacy ---\n%s\n--- scenario ---\n%s",
-			file, sweep, legacy, scen)
+	if !bytes.Equal(got, want) {
+		t.Errorf("scenario %s is not byte-identical to testdata/%s:\n--- got ---\n%s", name, file, got)
 	}
 }
 
 func TestGoldenNodeScenario(t *testing.T) {
-	goldenScenario(t, "node.json", "node")
+	goldenScenario(t, "node", true)
+	goldenScenario(t, "node", false)
 }
 
 func TestGoldenFig8Scenario(t *testing.T) {
-	goldenScenario(t, "fig8.json", "fig8")
+	goldenScenario(t, "fig8", true)
+	if testing.Short() {
+		t.Skip("full Figure 8 sweep is slow")
+	}
+	goldenScenario(t, "fig8", false)
 }
 
 // TestScenarioTaskRegistered pins the fabric contract: agents resolve the

@@ -90,9 +90,11 @@ func (c BSPConfig) Validate() error {
 	return nil
 }
 
-// commTime returns the wall-clock length of one communication phase.
+// commTime returns the wall-clock length of one communication phase,
+// rounded so a caller adding it cannot fuse the product into an FMA
+// (DESIGN.md §8).
 func (c BSPConfig) commTime() float64 {
-	return float64(c.MsgsPerPhase) * c.MsgLatency
+	return float64(float64(c.MsgsPerPhase) * c.MsgLatency)
 }
 
 // maxPhaseWait bounds how long one process may take for a single compute
@@ -177,7 +179,7 @@ func RunBSP(cfg BSPConfig, utils []float64, rng *stats.RNG) (float64, error) {
 // The serialized sync handling costs Procs*SyncHandlerCPU per phase even
 // on an idle cluster.
 func (c BSPConfig) IdealTime() float64 {
-	return float64(c.Phases) * (c.ComputePerPhase + float64(c.Procs)*c.SyncHandlerCPU + c.commTime())
+	return float64(c.Phases) * (c.ComputePerPhase + float64(float64(c.Procs)*c.SyncHandlerCPU) + c.commTime())
 }
 
 // Slowdown runs the job twice — on the given utilizations and on all-idle

@@ -14,9 +14,9 @@
 // task (registered in fabric.BuiltinTasks), with per-point seeds derived
 // via exp.DeriveSeed(spec.Seed, index). Every execution path — serial,
 // local pool, distributed fabric, llserve — therefore computes identical
-// bytes for a given (spec, seed, quick), and the committed specs under
-// scenarios/ reproduce the legacy figure sweeps byte for byte (pinned by
-// golden tests).
+// bytes for a given (spec, seed, quick). The committed specs under
+// scenarios/ are the Figure 5 and Figure 8 sweeps llsweep -sweep runs;
+// recorded golden reports pin their bytes.
 package scenario
 
 import (
@@ -87,7 +87,7 @@ type Spec struct {
 // ClusterParams shapes the simulated cluster. Zero fields normalize to
 // the paper defaults (cluster.DefaultConfig). Times are in seconds — the
 // spec carries contextSwitch in seconds precisely so a JSON literal like
-// 100e-6 round-trips to the exact float64 the legacy drivers use.
+// 100e-6 round-trips to the exact float64 the figure drivers use.
 type ClusterParams struct {
 	// Nodes is the cluster size (default 64; quick runs force 16).
 	Nodes int `json:"nodes,omitempty"`

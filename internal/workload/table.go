@@ -103,12 +103,15 @@ func DefaultTable() *Table {
 		0.013,
 		0, // 100%: pure busy
 	}
+	// The float64 conversions here, in ParamsAt and in lerp round each
+	// product before its addition, so FMA architectures build the same
+	// table as amd64 (DESIGN.md §8).
 	buckets := make([]Params, len(idleMeans))
 	for i, im := range idleMeans {
-		u := float64(i) * 0.05
+		u := float64(float64(i) * 0.05)
 		p := Params{Utilization: u, IdleMean: im}
-		runCV2 := 1.6 - 0.2*u  // squared CV of run bursts
-		idleCV2 := 1.5 - 0.2*u // squared CV of idle bursts
+		runCV2 := 1.6 - float64(0.2*u)  // squared CV of run bursts
+		idleCV2 := 1.5 - float64(0.2*u) // squared CV of idle bursts
 		switch i {
 		case 0:
 			p.IdleVar = idleCV2 * im * im
@@ -156,7 +159,7 @@ func (t *Table) ParamsAt(u float64) Params {
 		lo = len(t.buckets) - 2
 	}
 	hi := lo + 1
-	frac := (u - float64(lo)*step) / step
+	frac := (u - float64(float64(lo)*step)) / step
 
 	runMean := lerp(t.buckets[lo].RunMean, t.buckets[hi].RunMean, frac)
 	runCV2 := lerp(cv2(t.buckets[lo].RunMean, t.buckets[lo].RunVar),
@@ -194,7 +197,7 @@ func cv2(mean, variance float64) float64 {
 	return variance / (mean * mean)
 }
 
-func lerp(a, b, frac float64) float64 { return a + (b-a)*frac }
+func lerp(a, b, frac float64) float64 { return a + float64((b-a)*frac) }
 
 // WithSquaredCV returns a copy of the table whose run and idle burst
 // variances are replaced so every bucket has the given squared
